@@ -1,6 +1,6 @@
 # Convenience targets for the CrowdSky reproduction.
 
-.PHONY: install test test-robustness test-obs test-pref test-perf-core test-perf-obs test-sweep test-analysis test-sanitize test-recovery test-sharded regen-golden closure-baseline bench bench-ci bench-sweep bench-trajectory bench-baseline bench-scale experiments experiments-paper examples trace-demo report-demo lint lint-baseline
+.PHONY: install test test-robustness test-obs test-pref test-perf-core test-perf-obs test-sweep test-analysis test-sanitize test-recovery test-sharded regen-golden bench bench-ci bench-sweep bench-trajectory bench-baseline bench-scale experiments experiments-paper examples trace-demo report-demo lint lint-baseline
 
 # Suite for bench-trajectory (smoke | ci | paper | scale).
 BENCH_SUITE ?= ci
@@ -30,7 +30,8 @@ test-obs:
 test-pref:
 	pytest -m pref -q
 
-# Assert the bitset closure backend is never slower than the reference.
+# Core perf smoke: numpy closure matches the reference oracle on the
+# closure mixes, hoisted dominance kernel not slower.
 test-perf-core:
 	pytest tests/test_perf_core.py -m perf -q
 
@@ -86,11 +87,6 @@ lint-baseline:
 # behaviour change (then commit the diff).
 regen-golden:
 	PYTHONPATH=src python -m tests.regen_golden
-
-# Refresh benchmarks/baselines/closure_n512.json after backend or
-# workload changes (then commit the diff).
-closure-baseline:
-	PYTHONPATH=src python benchmarks/record_closure_baseline.py
 
 bench:
 	pytest benchmarks/ --benchmark-only

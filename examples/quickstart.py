@@ -100,8 +100,8 @@ def main() -> None:
         "--metrics on the CLI — to persist the artifacts."
     )
 
-    # Closure backends: all runs above used the default bitset-backed
-    # transitive closure. CrowdSkyConfig(backend="reference") — or
+    # Closure backends: all runs above used the default numpy
+    # (packed-bit) transitive closure. CrowdSkyConfig(backend="reference") — or
     # REPRO_PREF_BACKEND=reference — selects the original cached-DFS
     # implementation; results are guaranteed identical (see
     # docs/performance.md).

@@ -16,7 +16,6 @@ from repro.core.baseline import baseline_skyline
 from repro.core.crowdsky import CrowdSkyConfig, PruningLevel, crowdsky
 from repro.core.parallel import parallel_dset, parallel_sl
 from repro.core.preference import (
-    BitsetPreferenceGraph,
     ContradictionPolicy,
     PreferenceGraph,
     PreferenceSystem,
@@ -27,7 +26,6 @@ from repro.core.result import CrowdSkylineResult
 from repro.core.unary import unary_skyline
 
 __all__ = [
-    "BitsetPreferenceGraph",
     "ContradictionPolicy",
     "CrowdSkyConfig",
     "CrowdSkylineResult",

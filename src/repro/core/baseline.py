@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.result import CrowdSkylineResult
 from repro.crowd.platform import SimulatedCrowd
-from repro.crowd.questions import PairwiseQuestion, Preference
+from repro.questions import PairwiseQuestion, Preference
 from repro.data.relation import Relation
 from repro.exceptions import CrowdSkyError
 from repro.obs import phase, run_span

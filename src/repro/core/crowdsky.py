@@ -32,11 +32,11 @@ from repro.core.engine import (
     request_unresolved,
     tuple_trace,
 )
-from repro.core.preference import ContradictionPolicy
+from repro.core.preference import ContradictionPolicy, check_backend
 from repro.core.result import CrowdSkylineResult
 from repro.core.tasks import TaskOutcome, TupleTask
 from repro.crowd.platform import SimulatedCrowd
-from repro.crowd.questions import Preference
+from repro.questions import Preference
 from repro.data.relation import Relation
 from repro.exceptions import BudgetExhaustedError
 from repro.obs import current_observation, phase, run_span
@@ -88,12 +88,11 @@ class CrowdSkyConfig:
         default 2 keeps the paper's pairwise format.
     backend:
         Preference-closure backend: ``'numpy'`` (packed uint64 closure
-        matrices with bulk query kernels, the fast default),
-        ``'bitset'`` (incremental Python-int bitset closure) or
-        ``'reference'`` (the original set-based implementation). None
-        defers to the ``REPRO_PREF_BACKEND`` environment variable. All
-        backends produce identical questions, rounds and skylines — the
-        differential suite pins them together.
+        matrices with bulk query kernels, the fast default) or
+        ``'reference'`` (the original set-based implementation, kept as
+        the oracle). None defers to the ``REPRO_PREF_BACKEND``
+        environment variable. Both backends produce identical questions,
+        rounds and skylines — the differential suite pins them together.
     shards:
         Shard count for the machine phase (``1`` = the serial path).
         Any value yields byte-identical layers, dominating sets and
@@ -118,6 +117,10 @@ class CrowdSkyConfig:
     shards: int = 1
     shard_jobs: int = 1
     shard_partitioner: str = "range"
+
+    def __post_init__(self) -> None:
+        if self.backend is not None:
+            check_backend(self.backend)
 
     def to_payload(self) -> dict:
         """JSON-able form, recorded in a run's journal header."""

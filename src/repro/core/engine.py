@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.preference import ContradictionPolicy, PreferenceSystem
 from repro.core.tasks import MultiwayRequest, PairRequest
 from repro.crowd.platform import SimulatedCrowd
-from repro.crowd.questions import (
+from repro.questions import (
     MultiwayQuestion,
     PairwiseQuestion,
     Preference,
@@ -188,7 +188,7 @@ def build_context(
     ``visible_crowd`` lists tuples whose crowd values are stored rather
     than missing (the §2.2 partial-incompleteness extension); their
     mutual preferences are seeded into ``T`` for free. ``backend``
-    selects the preference-closure implementation (``'bitset'`` |
+    selects the preference-closure implementation (``'numpy'`` |
     ``'reference'``; None = the ``REPRO_PREF_BACKEND`` default).
 
     ``shards > 1`` computes the dominance matrix shard-by-shard

@@ -13,19 +13,15 @@ cycle. The paper does not discuss this case; the default
 the newcomer (first-arrival wins), and :attr:`ContradictionPolicy.RAISE`
 turns contradictions into errors for the perfect-crowd setting.
 
-Three interchangeable backends implement the graph:
+Two interchangeable backends implement the graph:
 
 * :class:`ReferencePreferenceGraph` — the original per-node
   ``Dict[int, Set[int]]`` adjacency with memoized DFS reachability.
   Kept as the executable specification; its descendant cache is
   invalidated *exactly* (only nodes whose reachable set can change).
-* :class:`BitsetPreferenceGraph` — reachability as Python-int bitsets
-  (one machine word per 64 tuples) with **incremental** transitive
-  closure maintenance on every edge insert and tie merge. Queries are
-  O(1) bit tests; updates touch only ancestors/descendants of the
-  mutated classes.
-* :class:`NumpyPreferenceGraph` — the same incremental closure with the
-  per-class bitsets packed into ``(n, ceil(n/64))`` uint64 matrices, so
+* :class:`NumpyPreferenceGraph` — **incremental** transitive closure
+  maintenance on every edge insert and tie merge, with per-class
+  bitsets packed into ``(n, ceil(n/64))`` uint64 matrices, so
   an edge insert is one masked ``|=`` broadcast over every affected
   class row and tie merges are row ORs plus row retirement. It adds the
   bulk query kernels (:meth:`~NumpyPreferenceGraph.relations_batch`,
@@ -35,9 +31,9 @@ Three interchangeable backends implement the graph:
 
 Select the backend with the ``backend=`` constructor flag of
 :func:`PreferenceGraph` / :class:`PreferenceSystem`, or globally with
-the ``REPRO_PREF_BACKEND`` environment variable (``numpy`` | ``bitset``
-| ``reference``). The differential suite
-(``tests/test_preference_differential.py``) pins the three backends to
+the ``REPRO_PREF_BACKEND`` environment variable (``numpy`` |
+``reference``). The differential suite
+(``tests/test_preference_differential.py``) pins the two backends to
 bit-for-bit identical observable state.
 
 :class:`PreferenceSystem` bundles ``|AC|`` graphs and provides the
@@ -57,7 +53,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.crowd.questions import Preference
+from repro.questions import Preference
 from repro.exceptions import CrowdSkyError, PreferenceConflictError
 from repro.obs import current_observation
 from repro.obs.metrics import CLOSURE_BATCH_SIZE
@@ -67,23 +63,29 @@ BACKEND_ENV_VAR = "REPRO_PREF_BACKEND"
 
 #: Recognised backend names.
 BACKEND_NUMPY = "numpy"
-BACKEND_BITSET = "bitset"
 BACKEND_REFERENCE = "reference"
 
 #: All recognised backend names, fastest first.
-BACKEND_NAMES = (BACKEND_NUMPY, BACKEND_BITSET, BACKEND_REFERENCE)
+BACKEND_NAMES = (BACKEND_NUMPY, BACKEND_REFERENCE)
+
+
+def check_backend(name: str, source: str = "") -> str:
+    """Return ``name`` if it is a recognised backend, else raise a
+    :class:`CrowdSkyError` listing the valid names (``source`` says
+    where the bad name came from)."""
+    if name not in BACKEND_NAMES:
+        raise CrowdSkyError(
+            f"unknown preference backend {name!r}{source}; "
+            f"expected one of {', '.join(repr(b) for b in BACKEND_NAMES)}"
+        )
+    return name
 
 
 def default_backend() -> str:
     """The backend name selected by ``REPRO_PREF_BACKEND`` (default
     ``numpy``)."""
     name = os.environ.get(BACKEND_ENV_VAR, BACKEND_NUMPY).strip().lower()
-    if name not in BACKEND_NAMES:
-        raise CrowdSkyError(
-            f"unknown preference backend {name!r} in ${BACKEND_ENV_VAR}; "
-            f"expected one of {', '.join(repr(b) for b in BACKEND_NAMES)}"
-        )
-    return name
+    return check_backend(name, f" in ${BACKEND_ENV_VAR}")
 
 
 class ContradictionPolicy(enum.Enum):
@@ -91,14 +93,6 @@ class ContradictionPolicy(enum.Enum):
 
     KEEP_FIRST = "keep_first"
     RAISE = "raise"
-
-
-def _iter_bits(bits: int) -> Iterable[int]:
-    """Indices of the set bits of a Python-int bitset, ascending."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 class _BasePreferenceGraph:
@@ -312,129 +306,13 @@ class ReferencePreferenceGraph(_BasePreferenceGraph):
         return set(self._descendants[root])
 
 
-class BitsetPreferenceGraph(_BasePreferenceGraph):
-    """Bitset-backed closure with incremental maintenance.
-
-    Per class representative ``r`` the graph stores three Python-int
-    bitsets over *original tuple indices* (so membership tests never
-    need representative mapping):
-
-    * ``_cls[r]`` — members of the tie class,
-    * ``_desc[r]`` — every tuple in a class strictly below ``r``,
-    * ``_anc[r]`` — every tuple in a class strictly above ``r``.
-
-    ``add_edge(u, v)`` ORs ``below(v)`` into every class above-or-equal
-    ``u`` and ``above(u)`` into every class below-or-equal ``v`` — the
-    classic incremental-closure update, word-parallel on 64 tuples at a
-    time. Tie merges union the two classes' bitsets and propagate the
-    same way. Queries are single shift-and-mask bit tests.
-    """
-
-    backend = BACKEND_BITSET
-
-    def __init__(
-        self,
-        n: int,
-        policy: ContradictionPolicy = ContradictionPolicy.KEEP_FIRST,
-    ):
-        super().__init__(n, policy)
-        # Dense list storage: the hot update loops index by tuple id,
-        # and a list subscript skips the dict hash entirely.
-        self._desc: List[int] = [0] * n
-        self._anc: List[int] = [0] * n
-        self._cls: List[int] = [1 << i for i in range(n)]
-        # Bit i set iff i is currently a class representative.
-        self._reps_mask = (1 << n) - 1 if n else 0
-
-    # -- bitset accessors ------------------------------------------------
-
-    def _cls_bits(self, rep: int) -> int:
-        return self._cls[rep]
-
-    def descendants_bits(self, u: int) -> int:
-        """Bitset of tuples in classes strictly below ``u``'s class."""
-        return self._desc[self._find(u)]
-
-    def ancestors_bits(self, u: int) -> int:
-        """Bitset of tuples in classes strictly above ``u``'s class."""
-        return self._anc[self._find(u)]
-
-    def tie_class_bits(self, u: int) -> int:
-        """Bitset of the members of ``u``'s tie class."""
-        return self._cls_bits(self._find(u))
-
-    # -- closure hooks ---------------------------------------------------
-
-    def _reaches(self, source: int, target: int) -> bool:
-        return bool(self._desc[source] >> target & 1)
-
-    def _propagate(self, above: int, below: int, gain_below: int,
-                   gain_above: int) -> None:
-        """OR ``gain_below`` into every class above and ``gain_above``
-        into every class below (the incremental-closure sweep).
-
-        The bit-extraction loops are inlined — a generator here costs a
-        frame resume per representative, which dominates the whole
-        update at chain-shaped workloads.
-        """
-        desc = self._desc
-        anc = self._anc
-        up = above & self._reps_mask
-        down = below & self._reps_mask
-        bits = up
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            desc[low.bit_length() - 1] |= gain_below
-        bits = down
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            anc[low.bit_length() - 1] |= gain_above
-        # O(1) accounting: one closure entry per representative swept.
-        self.closure_updates += bin(up).count("1") + bin(down).count("1")
-
-    def _add_edge(self, src: int, dst: int) -> None:
-        below = self._desc[dst] | self._cls[dst]
-        above = self._anc[src] | self._cls[src]
-        self._propagate(above, below, below, above)
-
-    def _merge_closure(self, keep: int, drop: int) -> None:
-        members = self._cls[keep] | self._cls[drop]
-        below = self._desc[keep] | self._desc[drop]
-        above = self._anc[keep] | self._anc[drop]
-        self._cls[keep] = members
-        self._desc[keep] = below
-        self._anc[keep] = above
-        self._cls[drop] = 0
-        self._desc[drop] = 0
-        self._anc[drop] = 0
-        self._reps_mask &= ~(1 << drop)
-        self._propagate(above, below, below | members, above | members)
-
-    # -- fast queries ----------------------------------------------------
-
-    def relation(self, u: int, v: int) -> Optional[Preference]:
-        ru = self._find(u)
-        if ru == self._find(v):
-            return Preference.EQUAL
-        # Closure bitsets carry member (not representative) indices, so
-        # test v / u directly.
-        if self._desc[ru] >> v & 1:
-            return Preference.LEFT
-        if self._anc[ru] >> v & 1:
-            return Preference.RIGHT
-        return None
-
-
 class NumpyPreferenceGraph(_BasePreferenceGraph):
     """Packed-bit closure: one uint64 matrix row per tie class.
 
-    The per-class bitsets of :class:`BitsetPreferenceGraph` become rows
-    of three ``(n, ceil(n/64))`` uint64 matrices — ``_cls`` (class
-    members), ``_desc`` (tuples strictly below) and ``_anc`` (tuples
-    strictly above); row ``r`` is meaningful only while ``r`` is a class
-    representative. The incremental Italiano-style update is then a
+    The closure lives in three ``(n, ceil(n/64))`` uint64 matrices —
+    ``_cls`` (class members), ``_desc`` (tuples strictly below) and
+    ``_anc`` (tuples strictly above); row ``r`` is meaningful only while
+    ``r`` is a class representative. The incremental Italiano-style update is then a
     masked broadcast: an edge insert ORs ``below(dst)`` into the rows of
     every representative above ``src`` (and symmetrically for
     ancestors) in one vectorized ``|=``, and a tie merge is two row ORs
@@ -446,9 +324,8 @@ class NumpyPreferenceGraph(_BasePreferenceGraph):
     arrays of pairs in one shot; :class:`PreferenceSystem` routes
     ``resolve_pairs`` and ``sky_ac`` through them.
 
-    The closure-update accounting mirrors the bitset backend exactly
-    (one update per representative row swept), so the deterministic
-    pseudo-benchmarks pin both to the same counts.
+    The closure-update accounting counts one update per representative
+    row swept, so the deterministic pseudo-benchmarks pin exact counts.
     """
 
     backend = BACKEND_NUMPY
@@ -496,8 +373,7 @@ class NumpyPreferenceGraph(_BasePreferenceGraph):
             self._desc[up] |= gain_below
         if down.size:
             self._anc[down] |= gain_above
-        # Same accounting as the bitset backend: one closure entry per
-        # representative row swept.
+        # One closure entry per representative row swept.
         self.closure_updates += int(up.size) + int(down.size)
 
     # -- closure hooks ---------------------------------------------------
@@ -598,7 +474,6 @@ class NumpyPreferenceGraph(_BasePreferenceGraph):
 #: Backend name → graph class.
 GRAPH_BACKENDS = {
     BACKEND_NUMPY: NumpyPreferenceGraph,
-    BACKEND_BITSET: BitsetPreferenceGraph,
     BACKEND_REFERENCE: ReferencePreferenceGraph,
 }
 
@@ -610,20 +485,13 @@ def PreferenceGraph(
 ):
     """Build a preference graph with the selected backend.
 
-    ``backend`` is ``'numpy'``, ``'bitset'`` or ``'reference'``; None
+    ``backend`` is ``'numpy'`` or ``'reference'``; None
     falls back to the ``REPRO_PREF_BACKEND`` environment variable, then
     ``'numpy'``. (Factory function — kept callable like the historical
     class so existing ``PreferenceGraph(n)`` call sites are unaffected.)
     """
     name = backend if backend is not None else default_backend()
-    try:
-        cls = GRAPH_BACKENDS[name]
-    except KeyError:
-        raise CrowdSkyError(
-            f"unknown preference backend {name!r}; expected one of "
-            f"{', '.join(repr(b) for b in BACKEND_NAMES)}"
-        ) from None
-    return cls(n, policy)
+    return GRAPH_BACKENDS[check_backend(name)](n, policy)
 
 
 #: A pair's derivable relation on every crowd attribute (None = unknown).
@@ -933,10 +801,6 @@ class PreferenceSystem:
             return list(members)
         if isinstance(self.graphs[0], NumpyPreferenceGraph):
             return self._sky_ac_numpy(members)
-        if self.num_attributes == 1 and isinstance(
-            self.graphs[0], BitsetPreferenceGraph
-        ):
-            return self._sky_ac_bitset(members)
         survivors: List[int] = []
         for v in members:
             dominated = False
@@ -956,29 +820,6 @@ class PreferenceSystem:
                         break
             if not dominated:
                 survivors.append(v)
-        return survivors
-
-    def _sky_ac_bitset(self, members: Sequence[int]) -> List[int]:
-        """Single-attribute fast path: one ancestor-mask test per member.
-
-        With ``|AC| = 1``, ``u ≺_AC v`` is plain reachability, so ``v``
-        survives iff no other member sits strictly above it and no
-        lower-indexed member shares its tie class — three bitset ANDs
-        per member instead of ``O(k)`` pair queries.
-        """
-        graph = self.graphs[0]
-        member_mask = 0
-        for m in members:
-            member_mask |= 1 << m
-        survivors: List[int] = []
-        for v in members:
-            others = member_mask & ~(1 << v)
-            if graph.ancestors_bits(v) & others:
-                continue  # some member strictly preferred over v
-            tied = graph.tie_class_bits(v) & others
-            if tied and (tied & ((1 << v) - 1)):
-                continue  # a lower-indexed fully-tied twin is kept
-            survivors.append(v)
         return survivors
 
     def _sky_ac_numpy(self, members: Sequence[int]) -> List[int]:

@@ -26,7 +26,7 @@ resuming someone else's journal.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.crowdsky import (
     CrowdSkyConfig,
@@ -88,7 +88,11 @@ def crowd_from_spec(
 
 def _check_header(
     recovered: RecoveredJournal, relation: Relation
-) -> Dict[str, Any]:
+) -> Tuple[Dict[str, Any], Optional[CrowdSkyConfig]]:
+    """The journal header and its parsed run config (None when the run
+    used defaults). Parsing here, before any backend or writer is
+    installed, makes a bad recorded config (e.g. an unknown closure
+    backend) fail with a typed error before any posting is replayed."""
     header = recovered.header
     if header is None:
         raise JournalError(
@@ -108,7 +112,11 @@ def _check_header(
             "(relation fingerprint mismatch); pass the relation the "
             "original run used"
         )
-    return header
+    raw_config = header.get("run", {}).get("config")
+    config = (
+        CrowdSkyConfig.from_payload(raw_config) if raw_config else None
+    )
+    return header, config
 
 
 def _prepare_crowd(
@@ -131,16 +139,13 @@ def _prepare_crowd(
 
 def _dispatch(
     header: Dict[str, Any],
+    config: Optional[CrowdSkyConfig],
     relation: Relation,
     crowd: SimulatedCrowd,
 ) -> CrowdSkylineResult:
     """Re-run the journaled algorithm with its recorded arguments."""
     algorithm = header.get("algorithm")
     run = header.get("run", {})
-    raw_config = run.get("config")
-    config = (
-        CrowdSkyConfig.from_payload(raw_config) if raw_config else None
-    )
     if algorithm == "crowdsky":
         return crowdsky(
             relation, crowd, config, visible_crowd=run.get("visible_crowd")
@@ -205,14 +210,14 @@ def resume_run(
         if isinstance(journal, RecoveredJournal)
         else recover_journal(journal, heal=heal)
     )
-    header = _check_header(recovered, relation)
+    header, config = _check_header(recovered, relation)
     crowd = _prepare_crowd(recovered, relation, crowd, header)
     replay = ReplayBackend(
         recovered.postings, header.get("state"), live=crowd.backend
     )
     crowd.install_backend(replay)
     crowd.install_journal(JournalWriter.resume(recovered))
-    result = _dispatch(header, relation, crowd)
+    result = _dispatch(header, config, relation, crowd)
     _emit_resumed(header, replay)
     return result
 
@@ -237,13 +242,13 @@ def replay_run(
         if isinstance(journal, RecoveredJournal)
         else recover_journal(journal, heal=False)
     )
-    header = _check_header(recovered, relation)
+    header, config = _check_header(recovered, relation)
     crowd = _prepare_crowd(recovered, relation, crowd, header)
     replay = ReplayBackend(
         recovered.postings, header.get("state"), live=None
     )
     crowd.install_backend(replay)
     crowd.install_journal(None)
-    result = _dispatch(header, relation, crowd)
+    result = _dispatch(header, config, relation, crowd)
     _emit_resumed(header, replay)
     return result

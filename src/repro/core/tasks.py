@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple as TupleT
 
 from repro.core.preference import PreferenceSystem
-from repro.crowd.questions import Preference
+from repro.questions import Preference
 from repro.skyline.dominating import FrequencyOracle
 
 

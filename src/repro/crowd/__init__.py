@@ -1,9 +1,9 @@
 """Simulated crowdsourcing platform (paper §2.1, §5, §6).
 
 This subpackage replaces the paper's Amazon Mechanical Turk deployment
-with a faithful simulation:
+with a faithful simulation (the question formats of
+:mod:`repro.questions` are re-exported here):
 
-* :mod:`repro.crowd.questions` — pairwise (ternary) and unary questions,
 * :mod:`repro.crowd.oracle` — ground-truth answers from latent values,
 * :mod:`repro.crowd.workers` — worker error models (perfect, Bernoulli
   ``p``, per-worker skill, spammer) and the worker pool,
@@ -43,7 +43,7 @@ from repro.crowd.quality import (
     WorkerQualityTracker,
     weighted_vote,
 )
-from repro.crowd.questions import (
+from repro.questions import (
     MultiwayQuestion,
     PairwiseQuestion,
     Preference,

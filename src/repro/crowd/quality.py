@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple as TupleT
 import numpy as np
 
 from repro.crowd.oracle import GroundTruthOracle
-from repro.crowd.questions import PairwiseQuestion, Preference
+from repro.questions import PairwiseQuestion, Preference
 from repro.crowd.workers import Worker, WorkerPool
 from repro.exceptions import CrowdPlatformError
 

@@ -27,7 +27,7 @@ import abc
 from collections import Counter
 from typing import Iterable
 
-from repro.crowd.questions import PairwiseQuestion, Preference
+from repro.questions import PairwiseQuestion, Preference
 from repro.exceptions import CrowdPlatformError
 from repro.skyline.dominating import FrequencyOracle
 

@@ -52,8 +52,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.crowdsky import CrowdSkyConfig, crowdsky
-from repro.core.preference import PreferenceGraph
-from repro.crowd.questions import Preference
+from repro.core.preference import BACKEND_NAMES, PreferenceGraph
+from repro.questions import Preference
 from repro.data.synthetic import generate_synthetic
 from repro.exceptions import ExperimentError
 from repro.experiments.registry import run_experiment
@@ -106,21 +106,27 @@ def _closure_ops(n: int, seed: int = 0) -> List[Tuple]:
     return ops
 
 
-def _replay_closure(ops: Sequence[Tuple], n: int) -> float:
-    """Replay a closure workload on the bitset backend; returns seconds."""
-    graph = PreferenceGraph(n, backend="bitset")
-    start = time.perf_counter()
+def _replay(ops: Sequence[Tuple], graph) -> None:
+    """Apply a closure workload's answers and probes to ``graph``."""
     for op in ops:
         if op[0] == "answer":
             graph.add_answer(op[1], op[2], op[3])
         else:
             graph.relation(op[1], op[2])
+
+
+def _replay_closure(ops: Sequence[Tuple], n: int) -> float:
+    """Replay a closure workload on the default numpy backend; returns
+    seconds."""
+    graph = PreferenceGraph(n, backend="numpy")
+    start = time.perf_counter()
+    _replay(ops, graph)
     return time.perf_counter() - start
 
 
 def _time_closure(n: int, seed: int = 0) -> Dict[str, float]:
     ops = _closure_ops(n, seed)
-    return {"closure_bitset_n%d" % n: _replay_closure(ops, n)}
+    return {"closure_numpy_n%d" % n: _replay_closure(ops, n)}
 
 
 def _time_fig6a(scale: str) -> Dict[str, float]:
@@ -150,16 +156,15 @@ def _time_crowdsky(n: int) -> Dict[str, float]:
     return {"crowdsky_e2e_n%d" % n: time.perf_counter() - start}
 
 
-#: ``crowd-scale`` backend matrix per ``n``. The slower backends are
-#: capped where one repeat would run tens of minutes (bitset past
-#: n=10k, reference past n=5k); the numpy backend carries the curve to
-#: n=20k alone. The caps are deliberate and documented
+#: ``crowd-scale`` backend matrix per ``n``. The reference oracle is
+#: capped where one repeat would run tens of minutes (past n=5k); the
+#: numpy backend carries the curve to n=20k alone. The caps are deliberate and documented
 #: (docs/performance.md) — they are the measurement of *why* numpy is
 #: the default, not an attempt to hide the comparison.
 CROWD_SCALE_BACKENDS: Dict[int, Tuple[str, ...]] = {
-    1_000: ("numpy", "bitset", "reference"),
-    5_000: ("numpy", "bitset", "reference"),
-    10_000: ("numpy", "bitset"),
+    1_000: ("numpy", "reference"),
+    5_000: ("numpy", "reference"),
+    10_000: ("numpy",),
     20_000: ("numpy",),
 }
 
@@ -190,28 +195,15 @@ def _count_closure_updates(n: int) -> Dict[str, float]:
     Replays the seeded ``random_dag`` closure mix into every backend
     and records each graph's ``closure_updates`` counter in the
     ``median_s`` slot — a count, not seconds, so the committed baseline
-    pins closure maintenance *work* exactly (machine-independent). The
-    numpy backend must mirror the bitset accounting one-for-one; a
-    divergence fails the bench run instead of recording nonsense.
+    pins closure maintenance *work* exactly (machine-independent).
     """
     ops = _closure_ops(n, seed=3)
     out: Dict[str, float] = {}
-    counts: Dict[str, int] = {}
-    for backend in ("numpy", "bitset", "reference"):
+    for backend in BACKEND_NAMES:
         graph = PreferenceGraph(n, backend=backend)
-        for op in ops:
-            if op[0] == "answer":
-                graph.add_answer(op[1], op[2], op[3])
-            else:
-                graph.relation(op[1], op[2])
-        counts[backend] = graph.closure_updates
+        _replay(ops, graph)
         out["crowd_closure_updates_%s_n%d" % (backend, n)] = float(
             graph.closure_updates
-        )
-    if counts["numpy"] != counts["bitset"]:
-        raise ExperimentError(
-            f"numpy closure-update accounting diverged from bitset at "
-            f"n={n}: {counts['numpy']} != {counts['bitset']}"
         )
     return out
 

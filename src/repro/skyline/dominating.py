@@ -42,34 +42,13 @@ def evaluation_order(dominating: List[Set[int]]) -> List[int]:
     return sorted(range(len(dominating)), key=lambda t: (len(dominating[t]), t))
 
 
-def bitset_of(indices) -> int:
-    """Pack an index collection into a Python-int bitset."""
-    bits = 0
-    for index in indices:
-        bits |= 1 << index
-    return bits
-
-
-def dominating_bitsets(dominating: List[Set[int]]) -> List[int]:
-    """``DS(t)`` sets packed as Python-int bitsets.
-
-    The closure machinery and the parallel schedulers intersect
-    dominating sets constantly; a bitset representation turns those
-    intersections into single word-parallel AND operations (64 tuples
-    per machine word) — the same representation
-    :class:`repro.core.preference.BitsetPreferenceGraph` uses.
-    """
-    return [bitset_of(members) for members in dominating]
-
-
 def packed_bitset_rows(sets: List[Set[int]], n: int) -> np.ndarray:
     """Index sets packed into rows of a ``(len(sets), ceil(n/64))``
     uint64 matrix.
 
-    The numpy twin of :func:`dominating_bitsets`: a disjointness or
-    membership test against many sets becomes one vectorized
-    ``AND``/``any`` over the rows instead of a Python loop over
-    arbitrary-precision ints. Bit ``i`` of row ``r`` lives at
+    A disjointness or membership test against many sets becomes one
+    vectorized ``AND``/``any`` over the rows instead of a Python loop
+    over the sets. Bit ``i`` of row ``r`` lives at
     ``rows[r, i >> 6] >> (i & 63) & 1``.
     """
     words = max(1, (n + 63) >> 6)

@@ -25,7 +25,7 @@ from repro.data.toy import figure1_dataset
 
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "golden_counts.json"
 
-BACKENDS = ("reference", "bitset", "numpy")
+BACKENDS = ("reference", "numpy")
 
 SCHEDULERS = {
     "crowdsky": crowdsky,

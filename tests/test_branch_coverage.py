@@ -6,7 +6,7 @@ import pytest
 from repro.core.crowdsky import CrowdSkyConfig, crowdsky
 from repro.crowd.hits import HitLedger
 from repro.crowd.platform import SimulatedCrowd
-from repro.crowd.questions import MultiwayQuestion, PairwiseQuestion, UnaryQuestion
+from repro.questions import MultiwayQuestion, PairwiseQuestion, UnaryQuestion
 from repro.data.synthetic import Distribution, generate_synthetic
 from repro.data.toy import figure1_dataset
 from repro.experiments.plots import ascii_chart, chart_for_experiment

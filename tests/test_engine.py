@@ -10,7 +10,7 @@ from repro.core.engine import (
 )
 from repro.core.preference import PreferenceSystem
 from repro.crowd.platform import SimulatedCrowd
-from repro.crowd.questions import MultiwayQuestion, Preference
+from repro.questions import MultiwayQuestion, Preference
 from repro.data.synthetic import Distribution, generate_synthetic
 from repro.exceptions import CrowdSkyError
 from tests.conftest import make_relation

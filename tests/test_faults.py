@@ -28,7 +28,7 @@ from repro.core.parallel import parallel_dset, parallel_sl
 from repro.crowd.faults import FaultPlan, FaultStats, HitOutcome
 from repro.crowd.hits import HitLedger
 from repro.crowd.platform import SimulatedCrowd
-from repro.crowd.questions import (
+from repro.questions import (
     MultiwayQuestion,
     PairwiseQuestion,
     UnaryQuestion,

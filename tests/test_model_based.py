@@ -10,7 +10,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.core.crowdsky import crowdsky
 from repro.core.parallel import parallel_dset, parallel_sl
 from repro.core.preference import PreferenceGraph
-from repro.crowd.questions import Preference
+from repro.questions import Preference
 from repro.data.synthetic import Distribution, generate_synthetic
 from repro.skyline.dominating import dominating_sets
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.crowd.platform import CrowdStats, SimulatedCrowd
-from repro.crowd.questions import PairwiseQuestion, Preference, UnaryQuestion
+from repro.questions import PairwiseQuestion, Preference, UnaryQuestion
 from repro.crowd.voting import StaticVoting
 from repro.crowd.workers import WorkerPool
 from repro.exceptions import BudgetExhaustedError, CrowdPlatformError

@@ -1,18 +1,21 @@
-"""Differential suite: the three preference backends, pinned pairwise.
+"""Differential suite: the numpy preference backend against the oracle.
 
-The bitset backend (:class:`repro.core.preference.BitsetPreferenceGraph`)
-and the numpy backend (:class:`repro.core.preference.NumpyPreferenceGraph`)
-are optimizations of the reference implementation, not reinterpretations
-— every observable they expose must match the reference bit for bit.
-These properties replay random answer histories (edges, ties,
-contradictions under both :class:`ContradictionPolicy` values) into all
-three backends and compare the complete derivable state, pin the
+The numpy backend (:class:`repro.core.preference.NumpyPreferenceGraph`)
+is an optimization of the reference implementation, not a
+reinterpretation — every observable it exposes must match the reference
+bit for bit. These properties replay random answer histories (edges,
+ties, contradictions under both :class:`ContradictionPolicy` values)
+into both backends and compare the complete derivable state, pin the
 round-shaped closure transactions (:meth:`PreferenceSystem.
 apply_verdicts`) and the numpy bulk kernels against the scalar queries,
 then pin full CrowdSky runs — all four schedulers — to identical
-question order, round tables, skylines and journal bytes under any
-backend.
+question order, round tables, skylines and journal bytes under either
+backend. The numpy closure-update accounting is pinned to exact counts
+on the seeded bench workload, and the removed ``bitset`` backend name
+must fail with a typed error.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +23,9 @@ from hypothesis import strategies as st
 
 from repro.core import CrowdSkyConfig, crowdsky, parallel_dset, parallel_sl
 from repro.core.crowdsky import crowdsky_budgeted
+from repro.core.resume import resume_run
 from repro.core.preference import (
     BACKEND_NAMES,
-    BitsetPreferenceGraph,
     ContradictionPolicy,
     NumpyPreferenceGraph,
     PreferenceGraph,
@@ -30,11 +33,13 @@ from repro.core.preference import (
     ReferencePreferenceGraph,
     default_backend,
 )
-from repro.crowd.journal import segment_paths
+from repro.crowd.backends import ReplayBackend
+from repro.crowd.journal import _encode, segment_paths
 from repro.crowd.platform import SimulatedCrowd
-from repro.crowd.questions import Preference
+from repro.questions import Preference
 from repro.crowd.workers import WorkerPool
 from repro.data.synthetic import Distribution, generate_synthetic
+from repro.experiments import bench
 from repro.exceptions import CrowdSkyError, PreferenceConflictError
 from tests.strategies import (
     DIFFERENTIAL_SETTINGS,
@@ -48,7 +53,7 @@ from tests.strategies import (
 
 pytestmark = pytest.mark.pref
 
-BACKENDS = BACKEND_NAMES  # ("numpy", "bitset", "reference")
+BACKENDS = BACKEND_NAMES  # ("numpy", "reference")
 
 #: The four schedulers of the end-to-end pin — name → runner.
 SCHEDULERS = {
@@ -109,18 +114,10 @@ def result_digest(result):
 
 
 def assert_backends_agree(by_backend):
-    """Compare each optimized backend's value against the reference."""
+    """Compare the optimized backend's value against the reference."""
     reference = by_backend["reference"]
     for backend, value in by_backend.items():
         assert value == reference, f"{backend} diverges from reference"
-
-
-def assert_closure_counts_mirror(graphs):
-    """The numpy backend's closure-update accounting mirrors the bitset
-    backend exactly (one update per representative row swept) — the
-    invariant the deterministic pseudo-benchmarks rely on. The reference
-    backend counts invalidations instead, so it is excluded."""
-    assert graphs["numpy"].closure_updates == graphs["bitset"].closure_updates
 
 
 class TestGraphDifferential:
@@ -142,7 +139,6 @@ class TestGraphDifferential:
         assert_backends_agree(
             {b: graph_state(g, n) for b, g in graphs.items()}
         )
-        assert_closure_counts_mirror(graphs)
 
     @settings(parent=DIFFERENTIAL_SETTINGS, max_examples=60)
     @given(answer_sequences(max_attributes=1))
@@ -253,12 +249,10 @@ class TestGraphDifferential:
             for batch in rounds
         ]
         states = {}
-        systems = {}
         for backend in BACKENDS:
             system = PreferenceSystem(n, num_attributes, backend=backend)
             accepted = [system.apply_verdicts(batch) for batch in rounds]
             assert accepted == scalar_accepted
-            systems[backend] = system
             states[backend] = [
                 graph_state(graph, n) for graph in system.graphs
             ]
@@ -266,10 +260,6 @@ class TestGraphDifferential:
             graph_state(graph, n) for graph in scalar.graphs
         ]
         assert_backends_agree(states)
-        assert (
-            systems["numpy"].closure_updates()
-            == systems["bitset"].closure_updates()
-        )
 
     @settings(parent=DIFFERENTIAL_SETTINGS, max_examples=60)
     @given(sequence=answer_sequences(max_n=10, max_attributes=1), data=st.data())
@@ -380,7 +370,6 @@ class TestBackendSelection:
         "backend, cls",
         [
             ("numpy", NumpyPreferenceGraph),
-            ("bitset", BitsetPreferenceGraph),
             ("reference", ReferencePreferenceGraph),
         ],
     )
@@ -395,7 +384,7 @@ class TestBackendSelection:
     def test_constructor_flag_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_PREF_BACKEND", "reference")
         assert isinstance(
-            PreferenceGraph(4, backend="bitset"), BitsetPreferenceGraph
+            PreferenceGraph(4, backend="numpy"), NumpyPreferenceGraph
         )
 
     def test_unknown_backend_rejected(self, monkeypatch):
@@ -418,3 +407,58 @@ class TestBackendSelection:
         assert_backends_agree(
             {b: r.stats.questions for b, r in results.items()}
         )
+
+
+class TestClosureAccounting:
+    @pytest.mark.parametrize("n, expected", [(512, 5277), (2048, 20997)])
+    def test_numpy_closure_updates_pinned(self, n, expected):
+        """The numpy closure-update count on the seeded ``random_dag``
+        mix of the ``crowd-scale`` bench (one update per representative
+        row swept) — the exact figure the committed baseline records."""
+        graph = NumpyPreferenceGraph(n)
+        bench._replay(bench._closure_ops(n, seed=3), graph)
+        assert graph.closure_updates == expected
+
+
+class TestRemovedBitsetBackend:
+    """``bitset`` is no longer a backend: every way of naming it fails
+    with a typed error listing the valid names, before any crowd work."""
+
+    VALID = r"expected one of 'numpy', 'reference'"
+
+    def test_config_rejects_bitset(self):
+        with pytest.raises(CrowdSkyError, match=self.VALID):
+            CrowdSkyConfig(backend="bitset")
+
+    def test_env_var_rejects_bitset(self, monkeypatch, small_independent):
+        monkeypatch.setenv("REPRO_PREF_BACKEND", "bitset")
+        crowd = SimulatedCrowd(small_independent)
+        with pytest.raises(CrowdSkyError, match=self.VALID):
+            crowdsky(small_independent, crowd)
+        assert crowd.stats.questions == 0
+
+    def test_resume_of_a_bitset_journal_rejected(self, tmp_path):
+        relation = generate_synthetic(24, 2, 2, seed=11)
+        journal = tmp_path / "run"
+        crowd = SimulatedCrowd(relation, seed=9, journal=journal)
+        crowdsky(relation, crowd, CrowdSkyConfig(backend="reference"))
+        crowd.journal.close()
+        (segment,) = segment_paths(journal)
+        lines = []
+        for line in segment.read_bytes().splitlines(keepends=True):
+            record = json.loads(line)
+            if record["type"] == "header":
+                record["data"]["run"]["config"]["backend"] = "bitset"
+                line = _encode(
+                    record["seq"], record["epoch"], "header", record["data"]
+                )
+            lines.append(line)
+        segment.write_bytes(b"".join(lines))
+        assert b'"backend":"bitset"' in segment.read_bytes()
+        before = segment.read_bytes()
+        fresh = SimulatedCrowd(relation, seed=9)
+        with pytest.raises(CrowdSkyError, match=self.VALID):
+            resume_run(journal, relation, crowd=fresh)
+        assert fresh.stats.questions == 0
+        assert not isinstance(fresh.backend, ReplayBackend)
+        assert segment.read_bytes() == before

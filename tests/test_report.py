@@ -331,7 +331,7 @@ class TestBenchHarness:
         assert record["fingerprint"] == machine_fingerprint()
         ids = [entry["id"] for entry in record["results"]]
         assert ids == [
-            "closure_bitset_n128", "fig6a_smoke_cold",
+            "closure_numpy_n128", "fig6a_smoke_cold",
             "fig6a_smoke_warm", "crowdsky_e2e_n200",
         ]
         # The warm sweep must actually hit the cache.

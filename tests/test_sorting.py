@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.crowd.platform import SimulatedCrowd
-from repro.crowd.questions import Preference
+from repro.questions import Preference
 from repro.data.toy import figure1_dataset
 from repro.sorting.comparators import (
     CountingComparator,
