@@ -306,7 +306,7 @@ def _run_budgeted(
             if exhausted:
                 undecided.add(t)
                 continue
-            if not context.dominating[t]:
+            if not context.dominating.size(t):
                 skyline.add(t)
                 complete += 1
                 record_tuple(context, trace, t, "skyline")
@@ -347,18 +347,20 @@ def _run_budgeted(
     # a dominating-set member already dominates them in current knowledge
     # (any member counts — even a non-skyline one dominates t in A).
     # All candidate pairs are settled against the closure in one batch;
-    # the undecided set is sorted once and reused (it is fixed here).
-    undecided_order = sorted(undecided)
+    # each undecided DS(t) is decoded once and reused (it is fixed here).
+    undecided_ds = {
+        t: context.dominating.members(t) for t in sorted(undecided)
+    }
     finalize = context.prefs.resolve_pairs(
-        (s, t) for t in undecided_order for s in context.dominating[t]
+        (s, t) for t, members in undecided_ds.items() for s in members
     )
-    for t in undecided_order:
+    for t, members in undecided_ds.items():
         dominated = any(
             all(
                 rel is not None and rel is not Preference.RIGHT
                 for rel in finalize[(s, t)]
             )
-            for s in context.dominating[t]
+            for s in members
         )
         if not dominated:
             skyline.add(t)
@@ -395,7 +397,7 @@ def _run_serial(
     with phase("evaluate"):
         trace = tuple_trace()
         for t in order:
-            if not context.dominating[t]:
+            if not context.dominating.size(t):
                 skyline.add(t)  # complete skyline tuple from start (§2.3)
                 record_tuple(context, trace, t, "skyline")
                 continue

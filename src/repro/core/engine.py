@@ -32,10 +32,9 @@ from repro.obs.metrics import (
     TUPLES_EVALUATED,
 )
 from repro.skyline.dominating import (
+    DominatingSets,
     FrequencyOracle,
-    dominating_sets,
-    dominating_sets_from_matrix,
-    evaluation_order,
+    pack_dominating_sets,
 )
 from repro.skyline.dominance import dominance_matrix
 from repro.skyline.sharded import PARTITIONERS, sharded_dominance_matrix
@@ -53,8 +52,11 @@ class ExecutionContext:
     relation: Relation
     crowd: SimulatedCrowd
     prefs: PreferenceSystem
+    #: ``matrix[s, t]``: ``s`` dominates ``t`` in ``AK``.
     matrix: np.ndarray
-    dominating: List[Set[int]]
+    #: Every ``DS(t)`` minus the preprocessed tuples, packed in
+    #: evaluation order and read off ``matrix``.
+    dominating: DominatingSets
     frequency: FrequencyOracle
     removed: Set[int] = field(default_factory=set)
     ac_round_robin: bool = False
@@ -87,21 +89,20 @@ class ExecutionContext:
         """Tuples in ascending ``|DS(t)|`` order, preprocessed tuples
         excluded.
 
-        The order is memoized (``dominating`` is fixed after
-        :func:`build_context`) and recomputed only when ``removed`` has
-        changed since the last call.
+        The rank is fixed by :func:`build_context`; the filtered list is
+        memoized and rebuilt only when ``removed`` has changed since the
+        last call.
         """
         removed = frozenset(self.removed)
         if self._order_cache is None or self._order_removed != removed:
-            order = evaluation_order(self.dominating)
+            order = self.dominating.order.tolist()
             self._order_cache = [t for t in order if t not in removed]
             self._order_removed = removed
         return list(self._order_cache)
 
     def ds_in_eval_order(self, t: int) -> List[int]:
         """``DS(t)`` members sorted by their own evaluation position."""
-        members = self.dominating[t]
-        return sorted(members, key=lambda s: (len(self.dominating[s]), s))
+        return self.dominating.members(t)
 
 
 def seed_visible_preferences(
@@ -192,9 +193,10 @@ def build_context(
     ``'reference'``; None = the ``REPRO_PREF_BACKEND`` default).
 
     ``shards > 1`` computes the dominance matrix shard-by-shard
-    (optionally across ``shard_jobs`` worker processes) and reads the
-    dominating sets off it; both are bit-identical to the serial path,
-    so every downstream question is unchanged (docs/sharding.md).
+    (optionally across ``shard_jobs`` worker processes); it is
+    bit-identical to the serial matrix, so every downstream question is
+    unchanged (docs/sharding.md). Either way the dominating sets are
+    read off that one matrix.
     """
     if relation.schema.num_crowd < 1:
         raise CrowdSkyError(
@@ -252,18 +254,7 @@ def build_context(
             frequency = FrequencyOracle(matrix)
 
         with spans.span("engine.dominating_sets"):
-            if shards > 1:
-                # The sharded path already holds the matrix; reading
-                # DS(t) off its columns skips the serial path's second
-                # quadratic pass and is equal by construction.
-                dominating = dominating_sets_from_matrix(matrix)
-            else:
-                dominating = dominating_sets(known)
-            if removed:
-                dominating = [
-                    {s for s in members if s not in removed}
-                    for members in dominating
-                ]
+            dominating = pack_dominating_sets(matrix, removed)
 
         context = ExecutionContext(
             relation=relation,

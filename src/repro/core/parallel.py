@@ -44,7 +44,6 @@ from repro.crowd.platform import SimulatedCrowd
 from repro.data.relation import Relation
 from repro.exceptions import CrowdSkyError
 from repro.obs import phase, run_span
-from repro.skyline.dominating import packed_bitset_rows
 from repro.skyline.layers import covering_graph_from_matrix
 
 
@@ -143,7 +142,7 @@ def parallel_dset(
             # Group by |DS(t)|; the empty-DS group needs no questions.
             groups: Dict[int, List[int]] = {}
             for t in context.eval_order():
-                groups.setdefault(len(context.dominating[t]), []).append(t)
+                groups.setdefault(context.dominating.size(t), []).append(t)
             trace = tuple_trace()
             for t in groups.pop(0, []):
                 skyline.add(t)
@@ -178,17 +177,17 @@ def _disjoint_batches(
     """First-fit partition of a group into batches whose (pruned)
     dominating sets are pairwise disjoint — the (C2) independence check.
 
-    Dominating sets are packed into rows of a uint64 matrix so a
-    member's disjointness test against every open batch is one
-    vectorized AND + ``any`` over the union rows instead of a Python
-    loop. First-fit order (and therefore the batch composition and every
-    downstream question) is identical to the scalar implementation."""
-    n = context.n
-    ds_rows = packed_bitset_rows(
-        [context.dominating[t] for t in members], n
-    )
+    The members' packed DS(t) rows come straight from the context,
+    viewed as uint64 words, so a member's disjointness test against
+    every open batch is one vectorized AND + ``any`` over the union rows
+    instead of a Python loop. First-fit order (and therefore the batch
+    composition and every downstream question) is identical to the
+    scalar implementation."""
+    dominating = context.dominating
+    packed = dominating.rows[members]
     if complete_non_skyline:
-        ds_rows &= ~packed_bitset_rows([complete_non_skyline], n)[0]
+        packed &= ~dominating.bit_row(complete_non_skyline)
+    ds_rows = packed.view(np.uint64)
     batches: List[List[int]] = []
     unions = np.zeros_like(ds_rows)
     open_batches = 0
@@ -289,7 +288,7 @@ def parallel_sl(
         order = context.eval_order()
         trace = tuple_trace()
         for t in order:
-            if not context.dominating[t]:
+            if not context.dominating.size(t):
                 skyline.add(t)  # SL1: complete skyline tuples, C's seed
                 complete.add(t)
                 record_tuple(context, trace, t, "skyline")

@@ -24,12 +24,11 @@ byte-identical (records are only comparable per id):
   candidate counts ride along as ``machine_shipped_n*`` pseudo-
   benchmarks (deterministic counts, not seconds), so the committed
   baseline also pins merge traffic at O(skyline).
-* ``crowd-scale`` — the crowd-phase backend curve
-  (docs/performance.md): end-to-end CrowdSky per closure backend at
-  n=1k/5k/10k/20k (slow backends capped per
-  :data:`CROWD_SCALE_BACKENDS`), plus deterministic
-  ``crowd_closure_updates_*`` pseudo-benchmarks pinning the closure
-  maintenance work of every backend — tens of minutes per repeat.
+* ``crowd-scale`` — the crowd-phase curve (docs/performance.md):
+  end-to-end CrowdSky with the numpy closure at n=1k/5k/10k/20k and
+  the reference oracle up to 5k (:data:`CROWD_SCALE_BACKENDS`), plus
+  deterministic ``crowd_closure_updates_*`` pseudo-benchmarks pinning
+  the closure maintenance work of both — tens of minutes per repeat.
 
 Workload determinism: every benchmark is seeded, so two runs on one
 machine time the *same* computation. The only wall-clock reads are the
@@ -190,12 +189,14 @@ def _time_crowd_e2e(n: int) -> Dict[str, float]:
 
 
 def _count_closure_updates(n: int) -> Dict[str, float]:
-    """Deterministic closure-update counts per backend (pseudo-bench).
+    """Deterministic closure-update counts (pseudo-bench).
 
-    Replays the seeded ``random_dag`` closure mix into every backend
-    and records each graph's ``closure_updates`` counter in the
-    ``median_s`` slot — a count, not seconds, so the committed baseline
-    pins closure maintenance *work* exactly (machine-independent).
+    Replays the seeded ``random_dag`` closure mix into the numpy
+    backend and the reference oracle and records each graph's
+    ``closure_updates`` counter in the ``median_s`` slot — a count, not
+    seconds, so the committed baseline pins closure maintenance *work*
+    exactly (machine-independent). Each backend counts its own unit of
+    work, so the two ids are pinned separately, never compared.
     """
     ops = _closure_ops(n, seed=3)
     out: Dict[str, float] = {}

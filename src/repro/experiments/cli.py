@@ -313,6 +313,8 @@ def _run_resume(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.bench import SUITES
+
     parser = argparse.ArgumentParser(
         prog="crowdsky",
         description=(
@@ -503,11 +505,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--suite",
-        choices=("smoke", "ci", "paper", "scale"),
+        choices=sorted(SUITES),
         default="smoke",
         help=(
             "benchmark suite (default: smoke; scale = the sharded "
-            "machine-phase n=10k/100k/1M curve, docs/sharding.md)"
+            "machine-phase n=10k/100k/1M curve, docs/sharding.md; "
+            "crowd-scale = end-to-end CrowdSky at n=1k..20k, "
+            "docs/performance.md)"
         ),
     )
     bench.add_argument(

@@ -8,12 +8,13 @@ be non-skyline tuples; Table 3 shows the ParallelSL round schedule.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple as TupleT
 
 from repro.core.parallel import parallel_sl
 from repro.data.relation import Relation
 from repro.data.toy import figure1_dataset
-from repro.skyline.dominating import dominating_sets, evaluation_order
+from repro.skyline.dominance import dominance_matrix
+from repro.skyline.dominating import DominatingSets, pack_dominating_sets
 from repro.skyline.layers import covering_graph
 
 
@@ -21,16 +22,23 @@ def _labels(relation: Relation, indices) -> List[str]:
     return sorted(relation.label(i) for i in indices)
 
 
+def _toy_dominating() -> TupleT[Relation, DominatingSets]:
+    """The Figure 1 dataset and its DS(t), packed as the engine packs
+    them, so the tables read the engine's own evaluation rank."""
+    relation = figure1_dataset()
+    matrix = dominance_matrix(relation.known_matrix())
+    return relation, pack_dominating_sets(matrix)
+
+
 def table1_rows() -> List[Dict[str, object]]:
     """Table 1: dominating sets and question sets of the toy dataset."""
-    relation = figure1_dataset()
-    ds = dominating_sets(relation.known_matrix())
+    relation, ds = _toy_dominating()
     rows = []
     for t in range(len(relation)):
-        if not ds[t]:
+        if not ds.size(t):
             continue
         label = relation.label(t)
-        members = _labels(relation, ds[t])
+        members = _labels(relation, ds.members(t))
         rows.append(
             {
                 "t": label,
@@ -50,22 +58,21 @@ def table2_rows() -> List[Dict[str, object]]:
     ``|DS(t)|`` and the question sets remaining after the non-skyline
     tuples ``{a, g, d}`` are removed from later dominating sets.
     """
-    relation = figure1_dataset()
+    relation, ds = _toy_dominating()
     non_skyline = {relation.index_of(x) for x in ("a", "g", "d")}
-    ds = dominating_sets(relation.known_matrix())
-    order = evaluation_order(ds)
     rows = []
-    for t in order:
-        if not ds[t]:
+    for t in ds.order.tolist():
+        members = ds.members(t)
+        if not members:
             continue
         label = relation.label(t)
-        original = _labels(relation, ds[t])
+        original = _labels(relation, members)
         # A tuple's own question set is pruned only by *earlier* removals;
         # a, g, d themselves still list their original questions.
         if t in non_skyline:
             pruned = original
         else:
-            pruned = _labels(relation, ds[t] - non_skyline)
+            pruned = _labels(relation, set(members) - non_skyline)
         rows.append(
             {
                 "t": label,

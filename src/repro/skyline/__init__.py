@@ -29,9 +29,10 @@ from repro.skyline.dominance import (
     incomparable,
 )
 from repro.skyline.dominating import (
+    DominatingSets,
     dominating_sets,
-    dominating_sets_from_matrix,
     evaluation_order,
+    pack_dominating_sets,
     pair_frequency,
     pair_frequency_table,
 )
@@ -48,6 +49,7 @@ from repro.skyline.sharded import (
 
 __all__ = [
     "DominanceRelation",
+    "DominatingSets",
     "ShardPlan",
     "ShardStats",
     "bnl_skyline",
@@ -58,11 +60,11 @@ __all__ = [
     "dominance_matrix",
     "dominates",
     "dominating_sets",
-    "dominating_sets_from_matrix",
     "evaluation_order",
     "incomparable",
     "local_skyline_mask",
     "make_plan",
+    "pack_dominating_sets",
     "pair_frequency",
     "pair_frequency_table",
     "sfs_skyline",

@@ -9,60 +9,115 @@
 * The evaluation order sorts tuples by ascending ``|DS(t)|`` (Lemma 3
   guarantees this respects the dominance partial order), breaking ties by
   tuple index — which reproduces the paper's Table 2(a) ordering.
+
+Every ``DS(t)`` lives in one :class:`DominatingSets`: the evaluation
+rank plus one bit row per tuple whose bit ``k`` stands for the ``k``-th
+tuple of that rank. A row costs ``n/8`` bytes, and decoding it yields
+``DS(t)`` already in evaluation order. :func:`dominating_sets` and
+:func:`evaluation_order` are the plain-Python views of the same data.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple as TupleT
+from typing import Collection, Dict, Iterable, List, Sequence, Set, Tuple as TupleT
 
 import numpy as np
 
 from repro.skyline.dominance import dominance_matrix
 
+#: Matrix cells read per packing block: temporaries stay near this many
+#: bytes whatever ``n`` is.
+_BLOCK_CELLS = 1 << 20
+
+
+def _rank_by_size(sizes: np.ndarray) -> np.ndarray:
+    """Indices by ascending ``sizes``, ties by index (the Lemma 3 order)."""
+    return np.lexsort((np.arange(len(sizes)), sizes))
+
+
+class DominatingSets:
+    """``DS(t) \\ removed`` for every tuple, as rank-ordered bit rows.
+
+    * ``sizes[t]`` — ``|DS(t) \\ removed|``.
+    * ``order`` — tuple indices by ``(sizes[t], t)``; ``rank`` is its
+      inverse, the position of each tuple in ``order``.
+    * ``rows`` — ``(n, 8·ceil(n/64))`` uint8, big-endian bits as
+      :func:`numpy.packbits` writes them: bit ``k`` of row ``t`` is set
+      iff ``order[k] ∈ DS(t) \\ removed``. Rows are padded to whole
+      64-bit words so a batch of them can be viewed as ``uint64``.
+
+    Build one with :func:`pack_dominating_sets`.
+    """
+
+    def __init__(
+        self, sizes: np.ndarray, order: np.ndarray, rows: np.ndarray
+    ) -> None:
+        self.sizes = sizes
+        self.order = order
+        self.rank = np.empty_like(order)
+        self.rank[order] = np.arange(len(order))
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def size(self, t: int) -> int:
+        """``|DS(t) \\ removed|``."""
+        return int(self.sizes[t])
+
+    def members(self, t: int) -> List[int]:
+        """``DS(t) \\ removed`` in evaluation order."""
+        bits = np.unpackbits(self.rows[t], count=len(self.sizes))
+        return self.order[np.flatnonzero(bits)].tolist()
+
+    def bit_row(self, indices: Iterable[int]) -> np.ndarray:
+        """``indices`` packed as one row in the layout of :attr:`rows`."""
+        bits = np.zeros(self.rows.shape[1] * 8, dtype=bool)
+        idx = np.fromiter(indices, dtype=np.intp)
+        bits[self.rank[idx]] = True
+        return np.packbits(bits)
+
+
+def pack_dominating_sets(
+    matrix: np.ndarray, removed: Collection[int] = ()
+) -> DominatingSets:
+    """Every ``DS(t) \\ removed`` read off the dominance ``matrix``.
+
+    ``matrix[s, t]`` means ``s`` dominates ``t``, so ``DS(t)`` is column
+    ``t``. Columns are packed in blocks, so temporaries stay
+    ``O(block · n)`` and the result costs ``n²/8`` bytes.
+    """
+    n = matrix.shape[0]
+    dropped = np.fromiter(removed, dtype=np.intp, count=len(removed))
+    sizes = np.count_nonzero(matrix, axis=0) - np.count_nonzero(
+        matrix[dropped], axis=0
+    )
+    order = _rank_by_size(sizes)
+    keep = np.ones(n, dtype=bool)
+    keep[dropped] = False
+    keep_ranked = keep[order][:, None]
+    rows = np.zeros((n, ((n + 63) >> 6) << 3), dtype=np.uint8)
+    block = max(1, _BLOCK_CELLS // max(n, 1))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        bits = matrix[order, start:stop]
+        bits &= keep_ranked
+        rows[start:stop, :(n + 7) >> 3] = np.packbits(bits.T, axis=1)
+    return DominatingSets(sizes, order, rows)
+
 
 def dominating_sets(data: np.ndarray) -> List[Set[int]]:
     """``DS(t)`` for every row ``t`` of ``data`` (smaller preferred)."""
-    matrix = dominance_matrix(np.asarray(data, dtype=float))
-    return dominating_sets_from_matrix(matrix)
+    packed = pack_dominating_sets(
+        dominance_matrix(np.asarray(data, dtype=float))
+    )
+    return [set(packed.members(t)) for t in range(len(packed))]
 
 
-def dominating_sets_from_matrix(matrix: np.ndarray) -> List[Set[int]]:
-    """``DS(t)`` read off a precomputed dominance matrix.
-
-    Lets callers that already hold the matrix (the sharded machine
-    phase, :func:`repro.core.engine.build_context`) derive the sets
-    without a second quadratic pass over the data.
-    """
-    return [set(int(s) for s in np.flatnonzero(matrix[:, t]))
-            for t in range(matrix.shape[0])]
-
-
-def evaluation_order(dominating: List[Set[int]]) -> List[int]:
+def evaluation_order(dominating: Sequence[Collection[int]]) -> List[int]:
     """Tuple indices sorted by ascending ``|DS(t)|``, ties by index."""
-    return sorted(range(len(dominating)), key=lambda t: (len(dominating[t]), t))
-
-
-def packed_bitset_rows(sets: List[Set[int]], n: int) -> np.ndarray:
-    """Index sets packed into rows of a ``(len(sets), ceil(n/64))``
-    uint64 matrix.
-
-    A disjointness or membership test against many sets becomes one
-    vectorized ``AND``/``any`` over the rows instead of a Python loop
-    over the sets. Bit ``i`` of row ``r`` lives at
-    ``rows[r, i >> 6] >> (i & 63) & 1``.
-    """
-    words = max(1, (n + 63) >> 6)
-    rows = np.zeros((len(sets), words), dtype=np.uint64)
-    for index, members in enumerate(sets):
-        if not members:
-            continue
-        idx = np.fromiter(members, dtype=np.int64, count=len(members))
-        np.bitwise_or.at(
-            rows[index],
-            idx >> 6,
-            np.uint64(1) << (idx & 63).astype(np.uint64),
-        )
-    return rows
+    sizes = np.array([len(members) for members in dominating], dtype=np.int64)
+    return _rank_by_size(sizes).tolist()
 
 
 def pair_frequency(matrix: np.ndarray, u: int, v: int) -> int:

@@ -1,5 +1,6 @@
 """Direct tests for the shared engine helpers."""
 
+import numpy as np
 import pytest
 
 from repro.core.engine import (
@@ -10,9 +11,11 @@ from repro.core.engine import (
 )
 from repro.core.preference import PreferenceSystem
 from repro.crowd.platform import SimulatedCrowd
+from repro.data.relation import Relation
 from repro.questions import MultiwayQuestion, Preference
 from repro.data.synthetic import Distribution, generate_synthetic
 from repro.exceptions import CrowdSkyError
+from repro.skyline.dominating import dominating_sets
 from tests.conftest import make_relation
 
 L, R, E = Preference.LEFT, Preference.RIGHT, Preference.EQUAL
@@ -56,8 +59,66 @@ class TestBuildContext:
         context = build_context(toy)
         j = toy.index_of("j")
         members = context.ds_in_eval_order(j)
-        sizes = [len(context.dominating[s]) for s in members]
+        sizes = [context.dominating.size(s) for s in members]
         assert sizes == sorted(sizes)
+
+
+def _twin_heavy_relation(n: int) -> Relation:
+    """``n`` tuples on a 3x3 ``AK`` grid with distinct crowd values.
+
+    Tuple 1 copies tuple 0's ``AK`` row and loses their crowd duel, so
+    preprocessing removes at least one tuple whenever ``n >= 2``.
+    """
+    rng = np.random.default_rng(n)
+    known = rng.integers(0, 3, size=(max(n, 1), 2))
+    if n >= 2:
+        known[1] = known[0]
+    latent = rng.permutation(max(n, 2))[: max(n, 1)]
+    if n >= 2 and latent[1] < latent[0]:
+        latent[[0, 1]] = latent[[1, 0]]
+    relation = make_relation(
+        [tuple(int(v) for v in row) for row in known],
+        [(int(v),) for v in latent],
+    )
+    return relation if n else Relation(relation.schema, [])
+
+
+def _brute_force_ds(known, removed):
+    """``DS(t) \\ removed`` and the evaluation order, by plain loops."""
+    rows = [tuple(row) for row in known.tolist()]
+
+    def dominates(a, b):
+        return all(x <= y for x, y in zip(a, b)) and a != b
+
+    ds = [
+        {s for s in range(len(rows))
+         if s not in removed and dominates(rows[s], rows[t])}
+        for t in range(len(rows))
+    ]
+    return ds, lambda s: (len(ds[s]), s)
+
+
+class TestPackedDominatingSets:
+    """The packed DS(t) decodes to exactly what plain sets give."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_matches_brute_force(self, n, shards):
+        relation = _twin_heavy_relation(n)
+        context = build_context(relation, shards=shards)
+        if n >= 2:
+            assert context.removed
+        known = relation.known_matrix()
+        ds, key = _brute_force_ds(known, context.removed)
+        for t in range(n):
+            assert context.ds_in_eval_order(t) == sorted(ds[t], key=key)
+            assert context.dominating.size(t) == len(ds[t])
+        assert context.eval_order() == sorted(
+            (t for t in range(n) if t not in context.removed), key=key
+        )
+        if n:
+            full, _ = _brute_force_ds(known, set())
+            assert dominating_sets(known) == full
 
 
 class TestPreprocessDuplicates:

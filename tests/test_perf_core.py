@@ -1,9 +1,10 @@
 """Perf smoke for the core kernels.
 
 A scaled-down replay (n=128) of the ``benchmarks/closure_cases``
-workloads pins the numpy closure backend to the reference oracle, and
-the hoisted dominance kernel must not be slower than the re-allocating
-variant it replaced.
+workloads pins the numpy closure backend to the reference oracle, the
+hoisted dominance kernel must not be slower than the re-allocating
+variant it replaced, and building every DS(t) must stay within a few
+bytes per tuple pair and one dominance pass.
 
 Run via ``make test-perf-core``. Closure timings are gated by the
 ``closure_numpy_n*`` benchmarks of ``crowdsky bench`` (docs/profiling.md).
@@ -11,9 +12,14 @@ Run via ``make test-perf-core``. Closure timings are gated by the
 
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
+
+from repro.core import engine
+from repro.data.synthetic import generate_synthetic
+from repro.skyline import dominating
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 
@@ -88,3 +94,34 @@ def test_dominance_matrix_buffer_hoisting_not_slower():
         f"hoisted dominance kernel slower than the re-allocating one: "
         f"{hoisted * 1000:.2f}ms vs {realloc * 1000:.2f}ms"
     )
+
+
+def test_ds_walk_memory_is_packed():
+    """Building the context and decoding every DS(t) in evaluation
+    order peaks below ``4·n²`` bytes: the n² bool dominance matrix plus
+    n²/8 bytes of packed rows, with no per-member Python objects."""
+    relation = generate_synthetic(2000, 2, 2, seed=7)
+    n = len(relation)
+    tracemalloc.start()
+    try:
+        context = engine.build_context(relation)
+        for t in context.eval_order():
+            context.ds_in_eval_order(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * n, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_serial_build_context_computes_dominance_once(monkeypatch):
+    calls = []
+    original = engine.dominance_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "dominance_matrix", counted)
+    monkeypatch.setattr(dominating, "dominance_matrix", counted)
+    engine.build_context(generate_synthetic(300, 2, 2, seed=7))
+    assert len(calls) == 1
