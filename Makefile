@@ -1,6 +1,6 @@
 # Convenience targets for the CrowdSky reproduction.
 
-.PHONY: install test test-robustness test-obs test-pref test-perf-core test-perf-obs test-sweep test-analysis test-sanitize test-recovery test-sharded regen-golden bench bench-ci bench-sweep bench-trajectory bench-baseline bench-scale experiments experiments-paper examples trace-demo report-demo lint lint-baseline
+.PHONY: install test perfbench-selftest test-robustness test-obs test-pref test-perf-core test-perf-obs test-sweep test-analysis test-sanitize test-recovery test-sharded regen-golden bench bench-ci bench-sweep bench-trajectory bench-baseline bench-scale experiments experiments-paper examples trace-demo report-demo lint lint-baseline
 
 # Suite for bench-trajectory (smoke | ci | paper | scale).
 BENCH_SUITE ?= ci
@@ -18,6 +18,12 @@ install:
 
 test:
 	pytest tests/
+
+# Benchmark self-test: every perfbench workload at its tiny size,
+# untraced and traced, with its result checks and metric contract
+# (perfbench/README.md).
+perfbench-selftest:
+	python3 perfbench/selftest.py
 
 test-robustness:
 	REPRO_FAULT_SEEDS="$(REPRO_FAULT_SEEDS)" pytest tests/test_faults.py -m faults -q

@@ -38,9 +38,12 @@ bit-for-bit identical observable state.
 
 :class:`PreferenceSystem` bundles ``|AC|`` graphs and provides the
 AC-level dominance tests used by the pruning rules (Corollaries 1-2,
-Lemma 4), memoized per pair and exposed batch-wise through
-:meth:`PreferenceSystem.resolve_pairs` so schedulers can settle a whole
-candidate round in one closure pass. Round commits go through
+Lemma 4), memoized per pair. A task's probe and ``Q(t)`` ladders look
+pairs up one at a time, head-first, because a crowd answer invalidates
+the memo and the scan stops at the first unsettled pair;
+:meth:`PreferenceSystem.resolve_pairs` settles a whole round-level batch
+(the engine's batch building, budgeted finalization) in one closure
+pass. Round commits go through
 :meth:`PreferenceSystem.apply_verdicts` — one *closure transaction* per
 crowd round instead of one closure touch per answer.
 """
@@ -347,6 +350,9 @@ class NumpyPreferenceGraph(_BasePreferenceGraph):
             ).astype(np.uint64)
         # Row r is live (a class representative) iff _is_rep[r].
         self._is_rep = np.ones(n, dtype=bool)
+        # _root[x] is the representative of x's class (what _find
+        # returns), so bulk kernels gather roots in one indexing op.
+        self._root = np.arange(n, dtype=np.int64)
 
     # -- row helpers -----------------------------------------------------
 
@@ -401,6 +407,8 @@ class NumpyPreferenceGraph(_BasePreferenceGraph):
         self._desc[drop] = 0
         self._anc[drop] = 0
         self._is_rep[drop] = False
+        bits = np.unpackbits(members.view(np.uint8), bitorder="little")
+        self._root[np.flatnonzero(bits[: self._n])] = keep
         self._broadcast(above, below, below | members, above | members)
 
     # -- fast scalar queries ---------------------------------------------
@@ -420,10 +428,7 @@ class NumpyPreferenceGraph(_BasePreferenceGraph):
 
     def find_roots(self, nodes: Sequence[int]) -> np.ndarray:
         """Class representatives of an array of tuple indices."""
-        find = self._find
-        return np.fromiter(
-            (find(int(x)) for x in nodes), dtype=np.int64, count=len(nodes)
-        )
+        return self._root[np.asarray(nodes, dtype=np.int64)]
 
     def relations_batch(
         self, us: Sequence[int], vs: Sequence[int]
@@ -466,9 +471,8 @@ class NumpyPreferenceGraph(_BasePreferenceGraph):
         strictly preferred over the tuple's class."""
         if not self._n:
             return np.zeros(0, dtype=bool)
-        roots = self.find_roots(np.arange(self._n, dtype=np.int64))
         has_ancestor = self._anc.any(axis=1)
-        return ~has_ancestor[roots]
+        return ~has_ancestor[self._root]
 
 
 #: Backend name → graph class.
@@ -597,8 +601,10 @@ class PreferenceSystem:
 
         Returns ``{(u, v): per-attribute relations}`` for every distinct
         input pair. Schedulers use this to test a whole candidate round
-        (batch building, probe ladders, budget finalization) against the
-        closure at once instead of re-querying pair by pair.
+        (the engine's batch building, budgeted finalization) against the
+        closure at once. A task's ladders do not: they stop at their
+        first unsettled pair, so they look pairs up one at a time with
+        :meth:`pair_relations`.
 
         Duplicate and symmetric pairs are collapsed before the closure
         is touched: memo-served pairs never reach the backend, and of an

@@ -8,15 +8,20 @@ A :class:`TupleTask` drives one tuple ``t`` through the CrowdSky pipeline:
    ``P(t)`` ordered by descending ``freq(u, v)`` (§3.4 — see DESIGN.md on
    the prose/pseudocode discrepancy).
 2. **Probing (P3)** — ask pairs inside ``DS(t)``; each resolved pair
-   removes its less-preferred member and all of that member's pending
-   pairs.
+   removes its less-preferred member, whose pending pairs are then
+   skipped as the ladder's head reaches them.
 3. **Asking** — generate ``Q(t) = {(s, t) | s ∈ DS(t)}``; stop early as
    soon as some ``s`` dominates ``t`` (complete non-skyline tuple); if
    every ``s`` fails to dominate, ``t`` is a complete skyline tuple.
 
 The task communicates with its scheduler through :meth:`advance`: it
 returns the next *pair* that needs crowd input, consuming for free every
-step already derivable from the preference system ``T``. Schedulers
+step already derivable from the preference system ``T``. Both ladders
+(probe pairs and ``Q(t)``) are resolved head-first, one memoized
+:meth:`~repro.core.preference.PreferenceSystem.pair_relations` lookup
+per pair reached: every crowd answer invalidates the memo, and the scan
+stops at the first unsettled pair, so nothing past it is looked up.
+Schedulers
 (serial, ParallelDSet, ParallelSL) differ only in how they interleave
 ``advance`` calls and batch the emitted pairs into rounds.
 """
@@ -130,7 +135,12 @@ class TupleTask:
         # with several crowd attributes the winner need not dominate.
         self._multiway = multiway if prefs.num_attributes == 1 else 2
         self._asked_groups: Set[TupleT[int, ...]] = set()
+        #: The probe ladder P(t) and the cursor at its head; pairs
+        #: before the cursor are settled, pairs with a member outside
+        #: ``_live`` are skipped when the cursor reaches them.
         self._probe_pairs: List[TupleT[int, int]] = []
+        self._probe_head = 0
+        self._live: Set[int] = set()
         self._ask_index = 0
         self._requested: Set[int] = set()
         #: DS members whose Q(t) question the crowd gave up on — treated
@@ -159,6 +169,7 @@ class TupleTask:
             self._ds = self._prefs.sky_ac(self._ds)
         if self._use_p3 and len(self._ds) > 1:
             self._probe_pairs = self._sorted_probe_pairs(self._ds)
+            self._live = set(self._ds)
         self.state = TaskState.PROBING
 
     def _sorted_probe_pairs(
@@ -178,10 +189,8 @@ class TupleTask:
         return [(u, v) for u, v, _ in pairs]
 
     def _remove_member(self, member: int) -> None:
-        self._ds = [s for s in self._ds if s != member]
-        self._probe_pairs = [
-            pair for pair in self._probe_pairs if member not in pair
-        ]
+        self._ds.remove(member)
+        self._live.discard(member)
 
     def _resolve_probe_pair(self, u: int, v: int) -> bool:
         """Try to settle a probe pair from current knowledge.
@@ -204,10 +213,8 @@ class TupleTask:
                 self._remove_member(max(u, v))  # fully tied twins
                 return True
             # Known but incomparable across crowd attributes (|AC| > 1):
-            # neither member prunes the other; drop the pair.
-            self._probe_pairs = [
-                pair for pair in self._probe_pairs if pair != (u, v)
-            ]
+            # neither member prunes the other; drop the (head) pair.
+            self._probe_head += 1
             return True
         return False
 
@@ -228,6 +235,7 @@ class TupleTask:
         """
         if isinstance(request, MultiwayRequest):
             self._probe_pairs = []
+            self._probe_head = 0
             if self.state is TaskState.PROBING:
                 self.state = TaskState.ASKING
             return
@@ -235,8 +243,11 @@ class TupleTask:
             pair = (request.left, request.right)
             flipped = (request.right, request.left)
             self._probe_pairs = [
-                p for p in self._probe_pairs if p != pair and p != flipped
+                p
+                for p in self._probe_pairs[self._probe_head:]
+                if p != pair and p != flipped
             ]
+            self._probe_head = 0
         elif self.state is TaskState.ASKING:
             self._abandoned.add(request.left)
 
@@ -265,44 +276,21 @@ class TupleTask:
             self._asked_groups.add(group)
             return MultiwayRequest(group)
 
-        if self.state is TaskState.PROBING and len(self._probe_pairs) > 1:
-            # Warm the pair memo for the whole remaining ladder in one
-            # closure pass (one bulk kernel call under the numpy
-            # backend); the head-by-head resolution below then runs on
-            # memo hits until the next crowd answer. Pure prefetch — no
-            # state changes, so the emitted questions are unchanged.
-            live = set(self._ds)
-            self._prefs.resolve_pairs(
-                (u, v)
-                for u, v in self._probe_pairs
-                if u in live and v in live
-            )
-
+        # Both ladders resolve head-first: each pair the cursor reaches
+        # costs one memoized lookup, and the scan stops at the first
+        # pair that needs the crowd.
+        pairs, live = self._probe_pairs, self._live
         while self.state is TaskState.PROBING:
-            if not self._probe_pairs:
+            if self._probe_head >= len(pairs):
                 self.state = TaskState.ASKING
                 break
-            u, v = self._probe_pairs[0]
-            if u not in self._ds or v not in self._ds:
-                self._probe_pairs.pop(0)
+            u, v = pairs[self._probe_head]
+            if u not in live or v not in live:
+                self._probe_head += 1
                 continue
             if self._resolve_probe_pair(u, v):
                 continue
             return PairRequest(u, v)
-
-        if (
-            self.state is TaskState.ASKING
-            and self._use_p2
-            and len(self._ds) - self._ask_index > 1
-        ):
-            # Same bulk prefetch for the Q(t) ladder: settle every
-            # remaining (s, t) dominance check in one closure pass, then
-            # scan on memo hits.
-            self._prefs.resolve_pairs(
-                (s, self.t)
-                for s in self._ds[self._ask_index:]
-                if s not in self._abandoned
-            )
 
         while self.state is TaskState.ASKING:
             if self._ask_index >= len(self._ds):

@@ -12,7 +12,7 @@ no worse on every attribute and strictly better on at least one; ``s`` and
 from __future__ import annotations
 
 import enum
-from typing import Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -55,12 +55,47 @@ def compare(s: ArrayLike, t: ArrayLike) -> DominanceRelation:
     return DominanceRelation.INCOMPARABLE
 
 
+def _dominance_rows(
+    columns: Sequence[np.ndarray],
+    start: int,
+    stop: int,
+    out: np.ndarray,
+    le: np.ndarray,
+    cmp: np.ndarray,
+) -> None:
+    """``out[i, j] = row start+i dominates row j`` for one row block.
+
+    One 2-D comparison per dimension: ``<=`` results are ANDed into
+    ``le`` and ``<`` results ORed into ``out``. Reducing a ``(b, n, d)``
+    buffer over its last axis instead is numpy's slow path at small
+    ``d``. ``out``, ``le`` and ``cmp`` are ``(stop - start, n)``
+    bool buffers; ``columns`` holds at least one dimension.
+    """
+    first = columns[0]
+    block = first[start:stop, None]
+    np.less_equal(block, first, out=le)
+    np.less(block, first, out=out)
+    for column in columns[1:]:
+        block = column[start:stop, None]
+        np.less_equal(block, column, out=cmp)
+        le &= cmp
+        np.less(block, column, out=cmp)
+        out |= cmp
+    out &= le
+
+
+def _columns(data: np.ndarray) -> List[np.ndarray]:
+    """The contiguous columns of an ``(n, d)`` matrix."""
+    return [np.ascontiguousarray(data[:, k]) for k in range(data.shape[1])]
+
+
 def dominance_matrix(data: np.ndarray, chunk_size: int = 512) -> np.ndarray:
     """Boolean matrix ``M`` with ``M[i, j] = data[i] dominates data[j]``.
 
     Vectorized with row chunking so memory stays at
-    ``O(chunk_size · n · d)`` — the paper's grids go to ``n = 10K`` where a
-    naive Python double loop would be prohibitive.
+    ``O(chunk_size · n)`` — the paper's grids go to ``n = 10K`` where a
+    naive Python double loop would be prohibitive. With no dimensions
+    nothing dominates anything.
 
     Parameters
     ----------
@@ -72,24 +107,18 @@ def dominance_matrix(data: np.ndarray, chunk_size: int = 512) -> np.ndarray:
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
     result = np.zeros((n, n), dtype=bool)
-    if n == 0:
+    if n == 0 or data.shape[1] == 0:
         return result
-    # Comparison buffers are hoisted out of the chunk loop and reused
-    # (ufunc ``out=``) — re-allocating the (b, n, d) broadcast temp per
-    # pass dominated the layer-computation profile.
+    columns = _columns(data)
+    # Comparison buffers are allocated once and reused across chunks.
     b = min(chunk_size, n)
-    cmp = np.empty((b, n, data.shape[1]), dtype=bool)
     le = np.empty((b, n), dtype=bool)
+    cmp = np.empty((b, n), dtype=bool)
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)
         size = stop - start
-        block = data[start:stop, None, :]  # (b, 1, d)
-        np.less_equal(block, data[None, :, :], out=cmp[:size])
-        cmp[:size].all(axis=2, out=le[:size])
-        np.less(block, data[None, :, :], out=cmp[:size])
-        cmp[:size].any(axis=2, out=result[start:stop])
-        np.logical_and(le[:size], result[start:stop],
-                       out=result[start:stop])
+        _dominance_rows(columns, start, stop, result[start:stop],
+                        le[:size], cmp[:size])
     return result
 
 
@@ -97,26 +126,23 @@ def skyline_mask(data: np.ndarray, chunk_size: int = 512) -> np.ndarray:
     """Boolean mask of skyline membership, computed without the full matrix.
 
     A tuple is in the skyline iff no other tuple dominates it
-    (paper Definition 3).
+    (paper Definition 3). With no dimensions every tuple is.
     """
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
     dominated = np.zeros(n, dtype=bool)
-    if n == 0:
+    if n == 0 or data.shape[1] == 0:
         return ~dominated
-    # Same hoisted-buffer scheme as :func:`dominance_matrix`.
+    columns = _columns(data)
+    # Same reused-buffer scheme as :func:`dominance_matrix`.
     b = min(chunk_size, n)
-    cmp = np.empty((b, n, data.shape[1]), dtype=bool)
+    rows = np.empty((b, n), dtype=bool)
     le = np.empty((b, n), dtype=bool)
-    lt = np.empty((b, n), dtype=bool)
+    cmp = np.empty((b, n), dtype=bool)
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)
         size = stop - start
-        block = data[start:stop, None, :]
-        np.less_equal(block, data[None, :, :], out=cmp[:size])
-        cmp[:size].all(axis=2, out=le[:size])
-        np.less(block, data[None, :, :], out=cmp[:size])
-        cmp[:size].any(axis=2, out=lt[:size])
-        np.logical_and(le[:size], lt[:size], out=lt[:size])
-        dominated |= lt[:size].any(axis=0)
+        _dominance_rows(columns, start, stop, rows[:size], le[:size],
+                        cmp[:size])
+        dominated |= rows[:size].any(axis=0)
     return ~dominated

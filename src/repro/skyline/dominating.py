@@ -19,6 +19,7 @@ tuple of that rank. A row costs ``n/8`` bytes, and decoding it yields
 
 from __future__ import annotations
 
+import math
 from typing import Collection, Dict, Iterable, List, Sequence, Set, Tuple as TupleT
 
 import numpy as np
@@ -28,6 +29,10 @@ from repro.skyline.dominance import dominance_matrix
 #: Matrix cells read per packing block: temporaries stay near this many
 #: bytes whatever ``n`` is.
 _BLOCK_CELLS = 1 << 20
+
+#: float32 holds every integer below this exactly, so a float32 matmul
+#: of 0/1 rows counts exactly while ``n`` stays below it.
+_FLOAT32_EXACT = 1 << 24
 
 
 def _rank_by_size(sizes: np.ndarray) -> np.ndarray:
@@ -148,6 +153,11 @@ class FrequencyOracle:
 
     def __init__(self, dominance: np.ndarray):
         self._matrix = np.asarray(dominance, dtype=bool)
+        if len(self._matrix) >= _FLOAT32_EXACT:
+            raise ValueError(
+                f"FrequencyOracle counts in float32, exact only below "
+                f"{_FLOAT32_EXACT} tuples; got {len(self._matrix)}"
+            )
         self._cache: Dict[TupleT[int, int], int] = {}
 
     def freq(self, u: int, v: int) -> int:
@@ -161,9 +171,11 @@ class FrequencyOracle:
 
     def freq_matrix(self, members: List[int]) -> np.ndarray:
         """``freq(u, v)`` for all pairs of ``members`` as a ``k × k``
-        matrix (vectorized; used by probing on large dominating sets)."""
-        rows = self._matrix[members].astype(np.int64)
-        return rows @ rows.T
+        int64 matrix (vectorized; used by probing on large dominating
+        sets). The product runs in float32, which numpy hands to BLAS and
+        which counts exactly below ``2**24`` tuples."""
+        rows = self._matrix[members].astype(np.float32)
+        return (rows @ rows.T).astype(np.int64)
 
     def quantiles(self, probabilities: List[float]) -> List[float]:
         """Quantiles of ``freq`` over all dominated-pair combinations.
@@ -173,13 +185,53 @@ class FrequencyOracle:
         more workers, bottom ~30% fewer). The population is all unordered
         pairs ``(u, v)`` of tuples that dominate at least one common tuple
         — the pairs that can actually appear as probing questions.
+
+        ``freq(u, v) = (M Mᵀ)[u, v]`` lies in ``[0, n]``, so the
+        population is kept as a histogram: ``M Mᵀ`` is formed in float32
+        row blocks over the upper triangle only, each block adds its
+        ``bincount``, and each quantile is read off the cumulative counts
+        with :func:`numpy.quantile`'s ``linear`` rule. Memory stays at
+        the float32 copy of ``M`` plus one block.
         """
-        counts = self._matrix.astype(np.int64)
-        # freq(u, v) = (M M^T)[u, v]: co-domination counts for all pairs.
-        co_domination = counts @ counts.T
-        iu = np.triu_indices(co_domination.shape[0], k=1)
-        values = co_domination[iu]
-        values = values[values > 0]
-        if values.size == 0:
+        n = len(self._matrix)
+        rows = self._matrix.astype(np.float32)
+        histogram = np.zeros(n + 1, dtype=np.int64)
+        # float32 cells: one block's product is about _BLOCK_CELLS bytes.
+        block = max(1, (_BLOCK_CELLS >> 2) // max(n, 1))
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            # Row i of the block against columns j >= start; triu keeps
+            # j > i, and the zeroed cells land in bin 0.
+            co_domination = rows[start:stop] @ rows[start:].T
+            histogram += np.bincount(
+                np.triu(co_domination, k=1).astype(np.intp).ravel(),
+                minlength=n + 1,
+            )
+        histogram[0] = 0
+        cumulative = np.cumsum(histogram)
+        total = int(cumulative[-1])
+        if total == 0:
             return [0.0 for _ in probabilities]
-        return [float(np.quantile(values, p)) for p in probabilities]
+        return [_linear_quantile(cumulative, total, p) for p in probabilities]
+
+
+def _linear_quantile(cumulative: np.ndarray, total: int, p: float) -> float:
+    """``np.quantile(values, p)`` (``linear`` method) from the cumulative
+    histogram of ``total`` non-negative integer ``values``: the ``k``-th
+    smallest value is the first bin whose cumulative count exceeds
+    ``k``, and the two neighbours are interpolated exactly as numpy's
+    ``_lerp`` does."""
+
+    def order_statistic(k: int) -> int:
+        return int(np.searchsorted(cumulative, k, side="right"))
+
+    index = (total - 1) * p
+    if index >= total - 1:
+        return float(order_statistic(total - 1))
+    lower = math.floor(index)
+    gamma = index - lower
+    a, b = order_statistic(lower), order_statistic(lower + 1)
+    diff = b - a
+    if gamma >= 0.5:
+        return float(b - diff * (1 - gamma))
+    return float(a + diff * gamma)

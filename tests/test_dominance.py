@@ -89,6 +89,41 @@ class TestDominanceMatrix:
                         assert matrix[i, k] or np.all(data[i] == data[k])
 
 
+def _brute_force_matrix(rows):
+    """``M[i][j]`` = row ``i`` dominates row ``j``, by a plain double loop
+    over Python tuples (shares nothing with the numpy kernel)."""
+    return [
+        [
+            all(a <= b for a, b in zip(s, t))
+            and any(a < b for a, b in zip(s, t))
+            for t in rows
+        ]
+        for s in rows
+    ]
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 4, 7])
+@pytest.mark.parametrize("n", [0, 1, 63, 513])
+def test_kernels_match_brute_force(n, d):
+    """The per-dimension kernels equal the brute-force definition on
+    tie-heavy data (values drawn from four levels), for every chunk size,
+    including ``d == 0`` (nothing dominates, everything is skyline)."""
+    rng = np.random.default_rng(1000 * n + d)
+    data = rng.integers(0, 4, size=(n, d)).astype(float)
+    expected = np.array(
+        _brute_force_matrix([tuple(row) for row in data.tolist()]),
+        dtype=bool,
+    ).reshape(n, n)
+    expected_mask = ~expected.any(axis=0)
+    for chunk_size in (1, 7, 64, 512, 1024):
+        assert np.array_equal(
+            dominance_matrix(data, chunk_size=chunk_size), expected
+        ), chunk_size
+        assert np.array_equal(
+            skyline_mask(data, chunk_size=chunk_size), expected_mask
+        ), chunk_size
+
+
 class TestSkylineMask:
     def test_matches_definition(self):
         rng = np.random.default_rng(3)

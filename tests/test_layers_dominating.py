@@ -177,3 +177,54 @@ class TestFrequencyOracle:
         data = np.asarray([[float(i), float(9 - i)] for i in range(10)])
         oracle = FrequencyOracle(dominance_matrix(data))
         assert oracle.quantiles([0.3, 0.7]) == [0.0, 0.0]
+
+    @pytest.mark.parametrize("n,d,seed", [(1, 2, 0), (2, 1, 0), (9, 2, 4),
+                                          (12, 3, 5), (40, 2, 1),
+                                          (150, 3, 2), (300, 2, 3)])
+    def test_quantiles_equal_numpy_quantile(self, n, d, seed):
+        """The histogram read-off equals ``np.quantile`` over the
+        explicit population of positive pair frequencies, on tie-heavy
+        data and at probabilities whose index lands on, between and at
+        the ends of the sorted values."""
+        data = np.random.default_rng(seed).integers(0, 5, size=(n, d))
+        matrix = dominance_matrix(data.astype(float))
+        oracle = FrequencyOracle(matrix)
+        values = [
+            oracle.freq(u, v) for u in range(n) for v in range(u + 1, n)
+        ]
+        values = np.array([x for x in values if x > 0], dtype=np.int64)
+        probabilities = [i / 40 for i in range(41)] + [1 / 3, 0.7, 0.999]
+        expected = (
+            [float(np.quantile(values, p)) for p in probabilities]
+            if values.size else [0.0] * len(probabilities)
+        )
+        assert oracle.quantiles(probabilities) == expected
+
+    def test_histogram_read_off_equals_numpy_quantile(self):
+        """The read-off interpolates bit for bit like ``np.quantile``,
+        including the ``gamma >= 0.5`` branch of its ``_lerp``."""
+        from repro.skyline.dominating import _linear_quantile
+
+        rng = np.random.default_rng(11)
+        probabilities = [i / 40 for i in range(41)] + [1 / 3, 0.7, 0.999]
+        for _ in range(300):
+            values = rng.integers(0, 20, size=int(rng.integers(1, 30)))
+            cumulative = np.cumsum(np.bincount(values, minlength=21))
+            for p in probabilities:
+                assert _linear_quantile(
+                    cumulative, len(values), p
+                ) == float(np.quantile(values, p)), (values.tolist(), p)
+
+    def test_oracle_refuses_sizes_float32_cannot_count(self):
+        # 2**24 rows of zero columns: the size check without the memory.
+        with pytest.raises(ValueError, match="float32"):
+            FrequencyOracle(np.zeros((1 << 24, 0), dtype=bool))
+
+    def test_freq_matrix_is_exact_int64(self):
+        data = np.random.default_rng(5).integers(0, 6, size=(400, 2))
+        matrix = dominance_matrix(data.astype(float))
+        members = list(range(0, 400, 9))
+        table = FrequencyOracle(matrix).freq_matrix(members)
+        rows = matrix[members].astype(np.int64)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, rows @ rows.T)

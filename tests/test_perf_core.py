@@ -2,9 +2,11 @@
 
 A scaled-down replay (n=128) of the ``benchmarks/closure_cases``
 workloads pins the numpy closure backend to the reference oracle, the
-hoisted dominance kernel must not be slower than the re-allocating
-variant it replaced, and building every DS(t) must stay within a few
-bytes per tuple pair and one dominance pass.
+dominance kernel must not be slower than a re-allocating variant,
+building every DS(t) must stay within a few bytes per tuple pair and
+one dominance pass, dynamic voting's frequency quantiles must stay
+blocked, and a task's ladders must resolve head-first with a pinned
+number of closure lookups.
 
 Run via ``make test-perf-core``. Closure timings are gated by the
 ``closure_numpy_n*`` benchmarks of ``crowdsky bench`` (docs/profiling.md).
@@ -113,6 +115,27 @@ def test_ds_walk_memory_is_packed():
     assert peak < 4 * n * n, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_quantiles_memory_is_blocked():
+    """Dynamic voting's frequency quantiles peak below ``6·n²`` bytes:
+    the float32 copy of the dominance matrix plus one row block of
+    ``M Mᵀ``, never the full int64 product."""
+    from repro.skyline.dominance import dominance_matrix
+
+    n = 2000
+    relation = generate_synthetic(n, 2, 2, seed=7)
+    oracle = dominating.FrequencyOracle(
+        dominance_matrix(relation.known_matrix())
+    )
+    tracemalloc.start()
+    try:
+        low, high = oracle.quantiles([0.3, 0.7])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < low <= high
+    assert peak < 6 * n * n, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_serial_build_context_computes_dominance_once(monkeypatch):
     calls = []
     original = engine.dominance_matrix
@@ -125,3 +148,54 @@ def test_serial_build_context_computes_dominance_once(monkeypatch):
     monkeypatch.setattr(dominating, "dominance_matrix", counted)
     engine.build_context(generate_synthetic(300, 2, 2, seed=7))
     assert len(calls) == 1
+
+
+def test_ladders_resolve_on_demand(monkeypatch):
+    """Probe and Q(t) ladders look pairs up head-first: ``advance``
+    never bulk-resolves a ladder through ``resolve_pairs``, and the
+    closure sees exactly the scalar lookups the head loops reach (plus
+    answer ingestion). The literal pins the lookup count, so a
+    reintroduced whole-ladder prefetch or a changed scan order shows."""
+    from repro.core import preference, tasks
+    from repro.core.crowdsky import CrowdSkyConfig, crowdsky
+    from repro.crowd.platform import SimulatedCrowd
+
+    inside_advance = []
+    from_advance = []
+    lookups = []
+    advance = tasks.TupleTask.advance
+    resolve_pairs = preference.PreferenceSystem.resolve_pairs
+    relation = preference.NumpyPreferenceGraph.relation
+
+    def traced_advance(self):
+        inside_advance.append(1)
+        try:
+            return advance(self)
+        finally:
+            inside_advance.pop()
+
+    def traced_resolve_pairs(self, pairs):
+        if inside_advance:
+            from_advance.append(1)
+        return resolve_pairs(self, pairs)
+
+    def counted_relation(self, u, v):
+        lookups.append(1)
+        return relation(self, u, v)
+
+    monkeypatch.setattr(tasks.TupleTask, "advance", traced_advance)
+    monkeypatch.setattr(
+        preference.PreferenceSystem, "resolve_pairs", traced_resolve_pairs
+    )
+    monkeypatch.setattr(
+        preference.NumpyPreferenceGraph, "relation", counted_relation
+    )
+    relation_data = generate_synthetic(300, 2, 2, seed=7)
+    result = crowdsky(
+        relation_data,
+        SimulatedCrowd(relation_data),
+        CrowdSkyConfig(backend="numpy"),
+    )
+    assert result.stats.questions > 0
+    assert from_advance == []
+    assert len(lookups) == 10114

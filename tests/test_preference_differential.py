@@ -16,7 +16,9 @@ must fail with a typed error.
 """
 
 import json
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -295,6 +297,59 @@ class TestGraphDifferential:
         ]
         assert list(graph.find_roots(list(range(n)))) == [
             graph.class_of(v) for v in range(n)
+        ]
+
+
+class TestRootArrayUnderTies:
+    """The numpy backend keeps class representatives as an array, updated
+    on every tie merge; chained EQUAL answers across 64-bit word
+    boundaries must keep it equal to the union-find roots."""
+
+    N = 200
+    BOUNDARY = (0, 1, 62, 63, 64, 65, 126, 127, 128, 129, 190, 191, 192, 199)
+
+    def replay_checked(self, events):
+        graph = NumpyPreferenceGraph(self.N)
+        reference = ReferencePreferenceGraph(self.N)
+        for u, v, answer in events:
+            accepted = graph.add_answer(u, v, answer)
+            assert accepted == reference.add_answer(u, v, answer)
+            expected = [reference.class_of(x) for x in range(self.N)]
+            assert [graph.class_of(x) for x in range(self.N)] == expected
+            assert list(graph.find_roots(range(self.N))) == expected
+        return graph, reference
+
+    def test_chain_across_word_boundaries(self):
+        eq = Preference.EQUAL
+        events = [
+            (63, 64, eq), (64, 65, eq), (127, 128, eq), (0, 127, eq),
+            (65, 191, eq), (199, 1, eq), (128, 64, eq), (130, 62, eq),
+            (62, 192, eq), (199, 63, eq),
+        ]
+        graph, _ = self.replay_checked(events)
+        merged = {0, 1, 63, 64, 65, 127, 128, 191, 199}
+        assert set(np.flatnonzero(graph.find_roots(range(self.N)) == 0)) \
+            == merged
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_tie_chains_with_edges(self, seed):
+        rng = random.Random(seed)
+        nodes = list(self.BOUNDARY) + rng.sample(range(self.N), 10)
+        events = []
+        for _ in range(60):
+            u, v = rng.sample(nodes, 2)
+            answer = (
+                Preference.EQUAL if rng.random() < 0.7
+                else rng.choice((Preference.LEFT, Preference.RIGHT))
+            )
+            events.append((u, v, answer))
+        graph, reference = self.replay_checked(events)
+        assert list(graph.undominated_mask()) == [
+            not any(
+                reference.relation(u, v) is Preference.LEFT
+                for u in nodes
+            )
+            for v in range(self.N)
         ]
 
 
